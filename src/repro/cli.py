@@ -1385,7 +1385,9 @@ def build_parser() -> argparse.ArgumentParser:
                    metavar="N", dest="serve_workers",
                    help="sharded detector workers (and shard channels)")
     p.add_argument("--queue-depth", type=_positive_int, default=32,
-                   help="bound of each shard channel (backpressure knob)")
+                   help="bound of each shard channel in messages (backpressure "
+                        "knob); each execution is a chunk plus a close "
+                        "message, so about depth/2 executions")
     p.add_argument("--host-vote-windows", type=_positive_int, default=16,
                    help="length of each host's sliding vote window")
     p.add_argument("--faults", type=_service_faults, default=None,

@@ -26,6 +26,8 @@ XEON_X5550_COUNTERS: int = 4
 #: Physical width of a Nehalem performance counter register.
 COUNTER_BITS: int = 48
 
+_MAX_COUNT = float((1 << COUNTER_BITS) - 1)
+
 
 class CounterCapacityError(RuntimeError):
     """Raised when more events are programmed than registers exist."""
@@ -135,6 +137,15 @@ class CounterRegisterFile:
             if register.enabled and register.event is not None:
                 register.accumulate(window_counts.get(register.event, 0.0))
 
+    def complete_reads(self, n_windows: int) -> int:
+        """Account for ``n_windows`` successive window reads.
+
+        Returns how many of them complete.  Every read of a pristine
+        register file does; a subclass modelling read faults stops short
+        of the failing read.
+        """
+        return n_windows
+
     def read(self) -> dict[str, int]:
         """Read the counts of all programmed registers."""
         return {
@@ -152,7 +163,7 @@ def sample_trace(
     trace: np.ndarray,
     event_names: tuple[str, ...],
 ) -> np.ndarray:
-    """Run a synthesized trace through the register file window by window.
+    """Run a synthesized trace through the register file in sampling mode.
 
     Args:
         register_file: programmed register file; only its bound events are
@@ -164,18 +175,41 @@ def sample_trace(
         Array ``(n_windows, n_programmed)`` of per-window readings for the
         programmed events, in programming order.  Registers are reset
         between windows (sampling mode), so each row is a window delta.
+
+    One column gather serves every window: counts round half-to-even and
+    saturate at the register width exactly as
+    :meth:`CounterRegister.accumulate` does window by window, and the
+    registers end holding the last window with sticky ``overflowed``
+    flags.  A window that cannot be sampled (a negative, NaN or infinite
+    count, or a failing read of a
+    :class:`~repro.hpc.faults.GlitchyCounterRegisterFile`) is replayed
+    through the registers, so it raises what the per-window path raises
+    and leaves the same register state.
     """
     programmed = register_file.programmed_events
     if not programmed:
         raise CounterStateError("no events programmed")
     column = {name: i for i, name in enumerate(event_names)}
-    readings = np.zeros((trace.shape[0], len(programmed)))
-    for w in range(trace.shape[0]):
-        window_counts = {ev: float(trace[w, column[ev]]) for ev in programmed}
-        for register in register_file.registers:
-            if register.enabled:
-                register.value = 0
-        register_file.observe_window(window_counts)
-        row = register_file.read()
-        readings[w] = [row[ev] for ev in programmed]
+    counts = np.asarray(trace[:, [column[ev] for ev in programmed]], dtype=np.float64)
+    n_windows = counts.shape[0]
+    # accumulate() rejects negative and NaN counts, and int() rejects +inf
+    invalid = np.flatnonzero(~(counts >= 0) | (counts == np.inf))
+    valid = n_windows if invalid.size == 0 else int(invalid[0]) // len(programmed)
+    done = register_file.complete_reads(valid)
+    rounded = np.rint(counts[:done])
+    saturated = rounded > _MAX_COUNT
+    # + 0.0 turns rint(-0.0) into the +0.0 that int(round(-0.0)) reads as
+    readings = np.minimum(rounded, _MAX_COUNT) + 0.0
+    registers = [r for r in register_file.registers if r.event is not None]
+    if done:
+        overflowed = saturated.any(axis=0)
+        for j, register in enumerate(registers):
+            register.value = int(readings[done - 1, j])
+            register.overflowed = register.overflowed or bool(overflowed[j])
+    if done < n_windows:
+        for register in registers:
+            register.value = 0
+        register_file.observe_window(dict(zip(programmed, counts[done].tolist())))
+        register_file.read()
+        raise AssertionError("an unsampleable window was read")  # pragma: no cover
     return readings

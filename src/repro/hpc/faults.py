@@ -332,6 +332,13 @@ class GlitchyCounterRegisterFile(CounterRegisterFile):
         self.glitch_read = glitch_read
         self.reads_completed = 0
 
+    def complete_reads(self, n_windows: int) -> int:
+        done = n_windows
+        if self.glitch_read is not None and self.reads_completed <= self.glitch_read:
+            done = min(n_windows, self.glitch_read - self.reads_completed)
+        self.reads_completed += done
+        return done
+
     def read(self) -> dict[str, int]:
         if self.glitch_read is not None and self.reads_completed == self.glitch_read:
             raise CounterReadGlitchError(

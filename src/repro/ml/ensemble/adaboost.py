@@ -19,8 +19,14 @@ from repro.ml.base import (
     check_features,
     check_training_set,
     pack_members,
+    proba_from_counts,
     unfitted_spec,
     unpack_members,
+)
+from repro.ml.ensemble.forest import (
+    adopt_packed_forest,
+    ensemble_forest,
+    forget_forest,
 )
 
 _EPS = 1e-10
@@ -113,6 +119,7 @@ class AdaBoostM1(Classifier):
             self.estimator_weights_.append(float(np.log(1.0 / beta)))
             dist = dist * np.where(predictions == labels, beta, 1.0)
             dist = dist / dist.sum()
+        forget_forest(self)
         self.fitted_ = True
         return self
 
@@ -121,11 +128,17 @@ class AdaBoostM1(Classifier):
         features = check_features(features)
         if not self.estimators_:
             return np.zeros((features.shape[0], 2))
-        # each member classifies the whole batch through its vectorized
-        # kernel; the stacked (n_members, n) prediction matrix is then
-        # reduced to weighted votes in one pass (outer-axis reduction is
-        # sequential in member order, bit-identical to the old loop)
-        stacked = np.stack([m.predict(features) for m in self.estimators_])
+        # the members classify the whole batch (tree members of a
+        # small batch in one forest pass); the stacked (n_members, n)
+        # prediction matrix is then reduced to weighted votes in one
+        # pass (outer-axis reduction is sequential in member order,
+        # bit-identical to the old loop)
+        forest = ensemble_forest(self, features.shape[0])
+        if forest is not None:
+            probas = proba_from_counts(forest.leaf_counts(features))
+            stacked = (probas[..., 1] >= 0.5).astype(np.intp)
+        else:
+            stacked = np.stack([m.predict(features) for m in self.estimators_])
         alphas = np.asarray(self.estimator_weights_)[:, None]
         votes = np.stack(
             [
@@ -157,6 +170,7 @@ class AdaBoostM1(Classifier):
     def from_artifact(cls, spec: dict, arrays: dict) -> "AdaBoostM1":
         model = cls(base=build_unfitted(spec["base"]), **spec["params"])
         model.estimators_ = unpack_members(spec["members"], arrays)
+        adopt_packed_forest(model, spec["members"], arrays)
         model.estimator_weights_ = [float(w) for w in spec["weights"]]
         model.fitted_ = True
         return model

@@ -21,8 +21,14 @@ from repro.ml.base import (
     check_features,
     check_training_set,
     pack_members,
+    proba_from_counts,
     unfitted_spec,
     unpack_members,
+)
+from repro.ml.ensemble.forest import (
+    adopt_packed_forest,
+    ensemble_forest,
+    forget_forest,
 )
 
 
@@ -103,16 +109,22 @@ class Bagging(Classifier):
         if voted.any():
             oob_pred = np.argmax(oob_votes[voted], axis=1)
             self.oob_accuracy_ = float(np.mean(oob_pred == labels[voted]))
+        forget_forest(self)
         self.fitted_ = True
         return self
 
     def predict_proba(self, features: np.ndarray) -> np.ndarray:
         self._require_fitted()
         features = check_features(features)
-        # stack the members' batch probabilities and average along the
-        # member axis (outer-axis reduction is sequential in member
-        # order, bit-identical to the old accumulation loop)
-        stacked = np.stack([m.predict_proba(features) for m in self.estimators_])
+        # stack the members' batch probabilities (tree members of a
+        # small batch in one forest pass) and average along the member
+        # axis (outer-axis reduction is sequential in member order,
+        # bit-identical to the old accumulation loop)
+        forest = ensemble_forest(self, features.shape[0])
+        if forest is not None:
+            stacked = proba_from_counts(forest.leaf_counts(features))
+        else:
+            stacked = np.stack([m.predict_proba(features) for m in self.estimators_])
         return stacked.sum(axis=0) / len(self.estimators_)
 
     # -- serialization ---------------------------------------------------
@@ -135,6 +147,7 @@ class Bagging(Classifier):
     def from_artifact(cls, spec: dict, arrays: dict) -> "Bagging":
         model = cls(base=build_unfitted(spec["base"]), **spec["params"])
         model.estimators_ = unpack_members(spec["members"], arrays)
+        adopt_packed_forest(model, spec["members"], arrays)
         oob = spec["oob_accuracy"]
         model.oob_accuracy_ = float(oob) if oob is not None else None
         model.fitted_ = True

@@ -480,6 +480,57 @@ class FlatTree:
         return acc
 
 
+class FlatForest:
+    """Several flat trees laid end to end, descended in one pass.
+
+    An ensemble of trees predicts by descending every member over the
+    same batch.  Instead of one :meth:`FlatTree.descend` loop per member,
+    the forest advances every (member, row) pair still at an internal
+    node by one level per iteration, so a batch costs as many iterations
+    as the deepest member, not the sum over members.  Members keep their
+    local child indices; ``offsets[m]`` (member ``m``'s first node) is
+    added at each step, which is exactly the layout of an ensemble's
+    packed ``member_tree_*`` artifact arrays — a loaded ensemble
+    descends its (possibly memory-mapped) payload in place.  Each step
+    makes the same ``row[attribute] <= threshold`` comparison as
+    :meth:`FlatTree.descend`, so every member lands in the same leaf.
+    """
+
+    __slots__ = ("attribute", "threshold", "left", "right", "counts", "offsets")
+
+    def __init__(
+        self,
+        attribute: np.ndarray,
+        threshold: np.ndarray,
+        left: np.ndarray,
+        right: np.ndarray,
+        counts: np.ndarray,
+        offsets: np.ndarray,
+    ) -> None:
+        self.attribute = attribute
+        self.threshold = threshold
+        self.left = left
+        self.right = right
+        self.counts = counts
+        self.offsets = np.asarray(offsets, dtype=np.intp)
+
+    def leaf_counts(self, features: np.ndarray) -> np.ndarray:
+        """Class counts of every member's leaf per row, ``(members, n, 2)``."""
+        n, n_cols = features.shape
+        flat = np.ascontiguousarray(features).reshape(-1)
+        cur = np.repeat(self.offsets, n)
+        offset = cur.copy()
+        active = np.flatnonzero(self.attribute[cur] >= 0)
+        while active.size:
+            node = cur[active]
+            values = flat.take(active % n * n_cols + self.attribute[node])
+            go_left = values <= self.threshold[node]
+            nxt = np.where(go_left, self.left[node], self.right[node]) + offset[active]
+            cur[active] = nxt
+            active = active[self.attribute[nxt] >= 0]
+        return self.counts[cur].reshape(len(self.offsets), n, 2)
+
+
 def leaf_counts_matrix(node: TreeNode, features: np.ndarray) -> np.ndarray:
     """Class counts of the leaf each row lands in, shape ``(n, 2)``.
 

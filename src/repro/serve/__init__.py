@@ -1,8 +1,8 @@
 """Streaming detection service over a bounded in-process queue fabric.
 
 The long-running counterpart of the batch :mod:`repro.core.fleet`
-monitor: producers stream per-window HPC samples onto sharded bounded
-channels (:mod:`repro.serve.bus`) and detector workers consume them,
+monitor: producers stream each execution's HPC samples, one chunk per
+execution, onto sharded bounded channels (:mod:`repro.serve.bus`) and detector workers consume them,
 classify closed windows through the vectorized inference kernels, and
 emit exactly one verdict per execution — including under injected
 worker crashes (:class:`~repro.hpc.faults.ServiceFaultPlan`), recovered

@@ -3,8 +3,8 @@
 StratosphereLinuxIPS's ensemble module subscribes to a Redis channel and
 wakes on ``tw_closed`` — a time window finished, classify it.  This is
 the same shape with zero dependencies: named bounded FIFO channels over
-:class:`queue.Queue`, per-window samples and window-closed markers as
-the message vocabulary, and *explicit* backpressure — a publisher into a
+:class:`queue.Queue`, window chunks and window-closed markers as the
+message vocabulary, and *explicit* backpressure — a publisher into a
 full channel blocks (and the block is counted), so a slow detector
 worker throttles its producers instead of letting an unbounded queue
 eat the host's memory.
@@ -32,19 +32,22 @@ SHUTDOWN = object()
 
 @dataclass(frozen=True)
 class WindowSample:
-    """One sampling window of one monitored execution.
+    """A chunk of consecutive sampling windows of one monitored execution.
 
     Attributes:
-        host: monitored host the window was sampled on (shard key).
-        execution: global index of the execution the window belongs to.
-        seq: window index within the execution (0-based).
-        row: raw 44-event activity of the window, shape ``(44,)``.
+        host: monitored host the windows were sampled on (shard key).
+        execution: global index of the execution the windows belong to.
+        seq: index of the chunk's first window within the execution
+            (0-based).
+        rows: raw 44-event activity of the windows ``seq, seq + 1, ...``,
+            shape ``(n, 44)``; typically a view of the producer's trace,
+            never copied on the wire.
     """
 
     host: str
     execution: int
     seq: int
-    row: np.ndarray = field(repr=False)
+    rows: np.ndarray = field(repr=False)
 
 
 @dataclass(frozen=True)

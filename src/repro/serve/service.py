@@ -7,12 +7,12 @@ detection *while programs execute*, as a pipeline of concurrent stages
 over the bounded queue fabric in :mod:`repro.serve.bus`:
 
 * **producers** execute applications on the container substrate and
-  publish each sampling window as it happens (one
-  :class:`~repro.serve.bus.WindowSample` per window, then a
-  :class:`~repro.serve.bus.WindowClosed` marker), blocking on
-  backpressure when the detector side is saturated;
+  publish each execution's windows as one chunk (a
+  :class:`~repro.serve.bus.WindowSample` holding a view of the whole
+  trace, then a :class:`~repro.serve.bus.WindowClosed` marker),
+  blocking on backpressure when the detector side is saturated;
 * **sharded detector workers** each own the hosts that hash to their
-  channel: they reassemble executions window by window, classify a
+  channel: they reassemble executions chunk by chunk, classify a
   closed window batch through the vectorized inference kernels
   (:func:`~repro.core.runtime.classify_trace`), emit exactly one
   :class:`~repro.core.runtime.DetectionVerdict` per closed execution,
@@ -27,8 +27,8 @@ over the bounded queue fabric in :mod:`repro.serve.bus`:
 Crash recovery without duplicate verdicts: before publishing anything,
 a producer registers the execution's full trace in an in-memory
 **ledger** (the durable store — the role Redis plays in
-StratosphereLinuxIPS).  Workers assemble into per-``(execution, seq)``
-dictionaries, so redelivered windows are idempotent, and a replacement
+StratosphereLinuxIPS).  Workers assemble into per-``(execution, chunk
+start)`` dictionaries, so redelivered chunks are idempotent, and a replacement
 worker incarnation rebuilds its assembly state straight from the ledger
 instead of republishing into a bounded channel (which could deadlock
 against a full queue).  Verdict emission is a check-and-set on the
@@ -93,6 +93,10 @@ from repro.obs import (
 from repro.obs.archive import HOST_VOTE_RULE, ArchiveSink
 from repro.serve.bus import SHUTDOWN, Bus, WindowClosed, WindowSample
 
+#: Bus messages per execution: its chunk and its close.  Crash draws span
+#: this many messages, so injected crashes land mid-assembly.
+_MESSAGES_PER_EXECUTION = 2
+
 
 @dataclass(frozen=True)
 class ServeJob:
@@ -121,10 +125,12 @@ class ServeJob:
 class _ExecutionRecord:
     """Ledger entry: the authoritative copy of one execution's stream.
 
-    ``trace`` is set (complete) before the first window is published and
+    ``trace`` is set (complete) before the first chunk is published and
     ``closed`` is set before the close marker is published, so a
     recovering worker reading the ledger always sees at least as much
-    as was ever on the wire.
+    as was ever on the wire.  Once the execution's verdict is emitted,
+    ``trace`` is released: recovery skips verdicted executions, so the
+    ledger only holds the traces still in flight.
     """
 
     index: int
@@ -181,11 +187,6 @@ class _RunState:
         self.recovered_windows = 0
         self.stat_lock = threading.Lock()
         self.failures: list[BaseException] = []
-        # Messages per execution (windows + close), sizing crash draws so
-        # injected crashes land mid-assembly.
-        self.crash_scale = 1 + max(
-            (record.job.n_windows for record in records), default=0
-        )
 
     def records_for_shard(self, shard: int) -> list[_ExecutionRecord]:
         return [record for record in self.records if record.shard == shard]
@@ -200,7 +201,8 @@ class DetectionService:
         producers: concurrent execution/publish threads.
         workers: sharded detector workers (and shard channels).
         queue_depth: bound of each shard channel — the backpressure
-            knob: smaller depths throttle producers sooner.
+            knob: smaller depths throttle producers sooner.  It counts
+            messages, two per execution (its chunk and its close).
         n_counters: physical counter registers per monitored host.
         vote_threshold: quorum fraction for per-execution verdicts and
             the per-host sliding vote window.
@@ -324,10 +326,7 @@ class DetectionService:
             # worker could have consumed.
             record.trace = trace
             channel = state.bus.shards[record.shard]
-            for seq in range(trace.shape[0]):
-                channel.publish(
-                    WindowSample(record.job.host_name, record.index, seq, trace[seq])
-                )
+            channel.publish(WindowSample(record.job.host_name, record.index, 0, trace))
             record.closed = True
             channel.publish(
                 WindowClosed(
@@ -336,10 +335,20 @@ class DetectionService:
             )
 
     # -- workers --------------------------------------------------------
-    def _assemble(self, rows: dict[int, np.ndarray], n_windows: int) -> np.ndarray:
-        if n_windows == 0:
+    @staticmethod
+    def _assemble(chunks: dict[int, np.ndarray], n_windows: int) -> np.ndarray | None:
+        """The execution's trace from its chunks, or None while torn.
+
+        A lone chunk is returned as is (no copy); several are joined in
+        window order.
+        """
+        if sum(chunk.shape[0] for chunk in chunks.values()) < n_windows:
+            return None
+        if len(chunks) == 1:
+            return next(iter(chunks.values()))
+        if not chunks:
             return np.zeros((0, len(ALL_EVENTS)))
-        return np.stack([rows[seq] for seq in range(n_windows)])
+        return np.concatenate([chunks[start] for start in sorted(chunks)])
 
     def _emit_verdict(
         self, state: _RunState, closed: WindowClosed, verdict: DetectionVerdict,
@@ -352,6 +361,7 @@ class DetectionService:
                 return
             state.verdicts[closed.execution] = verdict
             remaining = len(state.records) - len(state.verdicts)
+        state.records[closed.execution].trace = None
         n = verdict.n_windows
         with self._metrics_lock:
             self._c_executions.inc()
@@ -461,9 +471,9 @@ class DetectionService:
         self, state: _RunState, assembly: dict[int, dict[int, np.ndarray]],
         closed: WindowClosed,
     ) -> None:
-        rows = assembly.get(closed.execution, {})
-        if len(rows) < closed.n_windows:
-            # Torn assembly: some windows were consumed by a crashed
+        trace = self._assemble(assembly.get(closed.execution, {}), closed.n_windows)
+        if trace is None:
+            # Torn assembly: a chunk was consumed by a crashed
             # incarnation.  The recovery pass that follows every crash
             # rebuilds the full assembly from the ledger, so a complete
             # close for this execution is still coming — skip this one.
@@ -473,7 +483,6 @@ class DetectionService:
         if already:
             assembly.pop(closed.execution, None)
             return
-        trace = self._assemble(rows, closed.n_windows)
         start = time.perf_counter()
         readings = scores = None
         if self.quality is None or trace.shape[0] == 0:
@@ -507,8 +516,8 @@ class DetectionService:
         full, so recovery replays from there instead of republishing
         into a bounded channel (which could deadlock against a full
         queue with no consumer).  Duplicates still in the channel are
-        harmless — assembly is keyed by ``(execution, seq)`` and
-        emission is check-and-set.
+        harmless — assembly is keyed by ``(execution, chunk start)``
+        and emission is check-and-set.
         """
         for record in state.records_for_shard(shard):
             trace = record.trace
@@ -517,9 +526,7 @@ class DetectionService:
             with state.verdict_lock:
                 if record.index in state.verdicts:
                     continue
-            assembly[record.index] = {
-                seq: trace[seq] for seq in range(trace.shape[0])
-            }
+            assembly[record.index] = {0: trace}
             with state.stat_lock:
                 state.recovered_windows += trace.shape[0]
             with self._metrics_lock:
@@ -546,7 +553,7 @@ class DetectionService:
             self._recover(state, worker_index, assembly)
         crash_after = (
             self.faults.crash_after(
-                worker_index, incarnation, scale=state.crash_scale
+                worker_index, incarnation, scale=_MESSAGES_PER_EXECUTION
             )
             if self.faults is not None
             else None
@@ -565,7 +572,7 @@ class DetectionService:
                     f"{incarnation} after {consumed} messages"
                 )
             if isinstance(message, WindowSample):
-                assembly.setdefault(message.execution, {})[message.seq] = message.row
+                assembly.setdefault(message.execution, {})[message.seq] = message.rows
             elif isinstance(message, WindowClosed):
                 self._handle_close(state, assembly, message)
 

@@ -77,12 +77,18 @@ def test_bus_aggregates_counters():
 
 
 def test_messages_are_frozen_and_self_contained():
-    row = np.ones(44)
-    sample = WindowSample("h", 3, 1, row)
+    trace = np.ones((8, 44))
+    block = trace[1:5]
+    sample = WindowSample("h", 3, 1, block)
     closed = WindowClosed("h", 3, "app", 8)
     with pytest.raises(AttributeError):
         sample.seq = 2
     with pytest.raises(AttributeError):
+        sample.rows = trace
+    with pytest.raises(AttributeError):
         closed.n_windows = 9
-    assert sample.row is row
+    # a chunk is a block of consecutive windows carried as a view
+    assert sample.rows is block
+    assert sample.rows.shape == (4, 44)
+    assert np.shares_memory(sample.rows, trace)
     assert SHUTDOWN is not None
