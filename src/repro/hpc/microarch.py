@@ -93,25 +93,19 @@ class PhaseParameters:
         execution context so that re-running an application (as the paper
         does, 11 times per app) never reproduces identical counts.
 
-        One batched ``rng.normal`` call draws all factors; the generator
-        fills arrays from the same bit stream as repeated scalar draws,
-        so this consumes the stream exactly like the retained per-field
-        reference (:meth:`_perturbed_scalar`).
+        This is the one-row case of the perturbation every execution
+        applies to all of its phases (:func:`_perturb`): one ``rng.normal``
+        call draws all factors, consuming the stream exactly like the
+        retained per-field reference (:meth:`_perturbed_scalar`).
+
+        Raises:
+            ValueError: if ``sigma`` is negative or NaN, or a rate is NaN.
         """
         if fitmode.scalar_fit_enabled():
             return self._perturbed_scalar(rng, sigma)
-        names = [f.name for f in dataclasses.fields(self) if f.name != "noise_sigma"]
-        factors = np.exp(rng.normal(0.0, sigma, size=len(names)))
-        values = np.array([getattr(self, name) for name in names])
-        # ipc and prefetch_intensity are counts-per-event, not
-        # probabilities; they may exceed 1.
-        ceilings = np.array(
-            [4.0 if name in ("ipc", "prefetch_intensity") else 1.0 for name in names]
-        )
-        clipped = np.clip(values * factors, 1e-6, ceilings)
-        fields = {name: float(v) for name, v in zip(names, clipped)}
-        fields["noise_sigma"] = self.noise_sigma
-        return PhaseParameters(**fields)
+        row = _perturb(_rate_matrix([self]), rng, sigma)[0]
+        fields = dict(zip(_RATE_FIELDS, row.tolist()))
+        return PhaseParameters(**fields, noise_sigma=self.noise_sigma)
 
     def _perturbed_scalar(
         self, rng: np.random.Generator, sigma: float = 0.05
@@ -129,6 +123,212 @@ class PhaseParameters:
         return PhaseParameters(**fields)
 
 
+#: The latent rates, in field order: every field but ``noise_sigma``.
+_RATE_FIELDS: tuple[str, ...] = tuple(
+    f.name for f in dataclasses.fields(PhaseParameters) if f.name != "noise_sigma"
+)
+
+#: Clip ceiling of each jittered rate.  ipc and prefetch_intensity are
+#: counts-per-event, not probabilities; they may exceed 1.
+_RATE_CEILINGS = np.array(
+    [4.0 if name in ("ipc", "prefetch_intensity") else 1.0 for name in _RATE_FIELDS]
+)
+
+#: Scale of each event's log-normal window noise (relative to the phase's
+#: ``noise_sigma``), in the order the noise is drawn.  Prefetch traffic is
+#: the noisiest; misprediction counts are noisy (speculation depth varies
+#: window to window) while BPU lookups track retired branches almost
+#: deterministically.  ``cache_references`` and ``cache_misses`` are sums
+#: of LLC events and draw no noise of their own.
+_JITTER: dict[str, float] = {
+    "cpu_cycles": 1.0, "instructions": 1.0, "branch_instructions": 1.0,
+    "branch_misses": 1.8, "branch_loads": 0.25, "branch_load_misses": 1.0,
+    "L1_dcache_loads": 1.0, "L1_dcache_stores": 1.0,
+    "L1_dcache_load_misses": 1.0, "L1_dcache_store_misses": 1.0,
+    "L1_dcache_prefetches": 3.0, "L1_dcache_prefetch_misses": 3.0,
+    "L1_icache_loads": 1.0, "L1_icache_load_misses": 1.0,
+    "L1_icache_prefetches": 3.0, "L1_icache_prefetch_misses": 3.0,
+    "LLC_loads": 1.0, "LLC_load_misses": 1.0,
+    "LLC_stores": 1.0, "LLC_store_misses": 1.0,
+    "LLC_prefetches": 3.0, "LLC_prefetch_misses": 3.0,
+    "dTLB_loads": 1.0, "dTLB_load_misses": 1.0,
+    "dTLB_stores": 1.0, "dTLB_store_misses": 1.0,
+    "dTLB_prefetches": 3.0, "dTLB_prefetch_misses": 3.0,
+    "iTLB_loads": 1.0, "iTLB_load_misses": 1.0,
+    "node_loads": 1.0, "node_load_misses": 1.0,
+    "node_stores": 1.0, "node_store_misses": 1.0,
+    "node_prefetches": 3.0, "node_prefetch_misses": 3.0,
+    "mem_loads": 1.0, "mem_stores": 1.0,
+    "stalled_cycles_frontend": 1.0, "stalled_cycles_backend": 1.0,
+    "ref_cycles": 1.0, "bus_cycles": 1.0,
+}
+_JITTER_ROW = {name: row for row, name in enumerate(_JITTER)}
+_JITTER_SCALES = np.array(list(_JITTER.values()))
+
+
+def _rate_matrix(phases: list[PhaseParameters]) -> np.ndarray:
+    """``(phases, 19)`` latent rates, columns in :data:`_RATE_FIELDS` order."""
+    rates = np.array(
+        [[getattr(p, name) for name in _RATE_FIELDS] for p in phases], dtype=float
+    )
+    if np.isnan(rates).any():
+        raise ValueError("phase rates must not be NaN")
+    return rates
+
+
+def _check_positive(name: str, value: float) -> None:
+    """Reject a zero, negative, infinite or NaN window length or clock."""
+    if not 0.0 < value < np.inf:
+        raise ValueError(f"{name} must be finite and positive, got {value}")
+
+
+def _perturb(rates: np.ndarray, rng: np.random.Generator, sigma: float) -> np.ndarray:
+    """Jitter every rate by ``exp(N(0, sigma))`` from one draw, then clip."""
+    if not sigma >= 0.0:
+        raise ValueError(f"perturbation sigma must be non-negative, got {sigma}")
+    factors = np.exp(rng.normal(0.0, sigma, size=rates.shape))
+    return np.clip(rates * factors, 1e-6, _RATE_CEILINGS)
+
+
+def _synthesize(
+    rates: np.ndarray,
+    sigmas: np.ndarray,
+    schedule: np.ndarray,
+    rng: np.random.Generator,
+    window_ms: float,
+    frequency_hz: float,
+) -> np.ndarray:
+    """Synthesize all 44 event columns of one execution in one pass.
+
+    The window noise is one ``standard_normal`` draw laid out phase by
+    phase in ascending index order, each phase as one row per event
+    (:data:`_JITTER` order) over its windows: event ``k`` of the ``i``-th
+    window of phase ``p`` sits at ``42 * start[p] + k * count[p] + i``,
+    where ``start[p]`` counts the windows of lower phases.  Every column
+    is then computed once over all windows, in schedule order, with the
+    window's own phase rates, and written straight into the result.
+
+    Args:
+        rates: ``(phases, 19)`` latent rates (:data:`_RATE_FIELDS` order).
+        sigmas: ``(phases,)`` window noise scale of each phase.
+        schedule: phase index of every window.
+    """
+    n = schedule.size
+    rows = len(_JITTER)
+    counts = np.bincount(schedule, minlength=len(sigmas))
+    scheduled = sigmas[counts > 0]
+    if not (scheduled >= 0.0).all():
+        raise ValueError(f"noise_sigma must be non-negative, got {scheduled.min()}")
+    window_sigma = sigmas[schedule]
+    sorted_position = np.empty(n, dtype=np.intp)
+    sorted_position[np.argsort(schedule, kind="stable")] = np.arange(n)
+    starts = np.cumsum(counts) - counts
+    # rows * start[p] + i == sorted_position + (rows - 1) * start[p]
+    base = sorted_position + (rows - 1) * starts[schedule]
+    stride = counts[schedule]
+    trace = np.empty((n, len(ALL_EVENTS)))
+    # Until the columns overwrite it, the result's buffer holds the draw
+    # and then the per-window noise scales.
+    scratch = trace.reshape(-1)[: rows * n]
+    rng.standard_normal(out=scratch)
+    noise = np.empty((rows, n))
+    # Gathering half the rows at a time halves the index temporary; the
+    # indices are in range, and mode="clip" lets take() write `out` unbuffered.
+    halves = np.arange(rows).reshape(2, -1)
+    index = np.empty((halves.shape[1], n), dtype=np.intp)
+    for half, out in zip(halves, np.split(noise, 2)):
+        np.multiply.outer(half, stride, out=index)
+        index += base
+        np.take(scratch, index, out=out, mode="clip")
+    del index
+    # normal(0, s) is 0.0 + s * standard_normal; exp() ignores the sign
+    # of a zero, so the 0.0 is dropped.
+    scales = np.multiply.outer(_JITTER_SCALES, window_sigma, out=scratch.reshape(rows, n))
+    noise *= scales
+    np.exp(noise, out=noise)
+
+    rate = dict(zip(_RATE_FIELDS, np.take(rates.T, schedule, axis=1)))
+    columns = dict(zip(ALL_EVENTS, trace.T))
+
+    def event(name: str, value, *factors) -> np.ndarray:
+        """Write ``value * factors... * noise`` (left to right) to the column."""
+        for factor in factors:
+            value = value * factor
+        return np.multiply(value, noise[_JITTER_ROW[name]], out=columns[name])
+
+    cycles = event("cpu_cycles", frequency_hz * (window_ms / 1000.0), rate["utilization"])
+    instructions = event("instructions", cycles, rate["ipc"])
+
+    branches = event("branch_instructions", instructions, rate["branch_ratio"])
+    event("branch_misses", branches, rate["branch_mispred_rate"])
+    branch_loads = event("branch_loads", branches, 1.05)
+    event("branch_load_misses", branch_loads, rate["bpu_miss_rate"])
+
+    loads = event("L1_dcache_loads", instructions, rate["load_ratio"])
+    stores = event("L1_dcache_stores", instructions, rate["store_ratio"])
+
+    l1d_load_misses = event("L1_dcache_load_misses", loads, rate["l1d_load_miss_rate"])
+    l1d_store_misses = event("L1_dcache_store_misses", stores, rate["l1d_store_miss_rate"])
+    l1d_prefetches = event("L1_dcache_prefetches", l1d_load_misses, rate["prefetch_intensity"])
+    l1d_prefetch_misses = event(
+        "L1_dcache_prefetch_misses", l1d_prefetches, rate["prefetch_miss_rate"]
+    )
+
+    # The front end fetches roughly one L1I access per issued instruction
+    # bundle (4-wide on Nehalem), so fetches scale with instructions.
+    l1i_loads = event("L1_icache_loads", instructions, 0.27)
+    l1i_load_misses = event("L1_icache_load_misses", l1i_loads, rate["l1i_miss_rate"])
+    l1i_prefetches = event("L1_icache_prefetches", l1i_load_misses, 0.5)
+    l1i_prefetch_misses = event(
+        "L1_icache_prefetch_misses", l1i_prefetches, rate["prefetch_miss_rate"]
+    )
+
+    # LLC demand traffic is downstream of the L1 misses.
+    llc_loads = event("LLC_loads", l1d_load_misses + l1i_load_misses)
+    llc_load_misses = event("LLC_load_misses", llc_loads, rate["llc_miss_rate"])
+    llc_stores = event("LLC_stores", l1d_store_misses)
+    llc_store_misses = event("LLC_store_misses", llc_stores, rate["llc_miss_rate"], 0.9)
+    llc_prefetches = event("LLC_prefetches", l1d_prefetch_misses + l1i_prefetch_misses)
+    llc_prefetch_misses = event(
+        "LLC_prefetch_misses", llc_prefetches, rate["prefetch_miss_rate"]
+    )
+
+    cache_references = np.add(llc_loads, llc_stores, out=columns["cache_references"])
+    cache_references += llc_prefetches
+    cache_misses = np.add(llc_load_misses, llc_store_misses, out=columns["cache_misses"])
+    cache_misses += llc_prefetch_misses
+
+    dtlb_loads = event("dTLB_loads", loads)
+    event("dTLB_load_misses", dtlb_loads, rate["dtlb_load_miss_rate"])
+    dtlb_stores = event("dTLB_stores", stores)
+    event("dTLB_store_misses", dtlb_stores, rate["dtlb_store_miss_rate"])
+    dtlb_prefetches = event("dTLB_prefetches", l1d_prefetches, 0.8)
+    event("dTLB_prefetch_misses", dtlb_prefetches, rate["dtlb_load_miss_rate"])
+
+    itlb_loads = event("iTLB_loads", l1i_loads, 0.5)
+    event("iTLB_load_misses", itlb_loads, rate["itlb_miss_rate"])
+
+    # Memory-node traffic is what escapes the LLC, split by NUMA locality.
+    remote = rate["node_remote_ratio"]
+    local = 1.0 - remote
+    memory_loads = llc_load_misses + llc_prefetch_misses
+    event("node_loads", memory_loads, local)
+    event("node_load_misses", memory_loads, remote)
+    event("node_stores", llc_store_misses, local)
+    event("node_store_misses", llc_store_misses, remote)
+    event("node_prefetches", llc_prefetch_misses, local)
+    event("node_prefetch_misses", llc_prefetch_misses, remote, 0.5)
+
+    event("mem_loads", memory_loads)
+    event("mem_stores", llc_store_misses)
+
+    event("stalled_cycles_frontend", cycles, rate["frontend_stall_frac"])
+    event("stalled_cycles_backend", cycles, rate["backend_stall_frac"])
+    event("ref_cycles", cycles)
+    event("bus_cycles", cycles / 8.0)
+    return trace
+
+
 def synthesize_windows(
     params: PhaseParameters,
     n_windows: int,
@@ -137,6 +337,9 @@ def synthesize_windows(
     frequency_hz: float = DEFAULT_FREQUENCY_HZ,
 ) -> np.ndarray:
     """Synthesize per-window counts for all 44 events of one phase.
+
+    The one-phase case of the execution kernel: every window runs in
+    ``params``.
 
     Args:
         params: latent rates of the phase.
@@ -149,130 +352,24 @@ def synthesize_windows(
         Array of shape ``(n_windows, 44)`` with columns ordered like
         :data:`repro.hpc.events.ALL_EVENTS`.  Counts are non-negative
         floats (fractional counts model pro-rated multiplexing).
+
+    Raises:
+        ValueError: if ``n_windows`` is negative, ``window_ms`` or
+            ``frequency_hz`` is not finite and positive, a rate is NaN,
+            or (with windows to draw) ``noise_sigma`` is negative or NaN.
     """
     if n_windows < 0:
         raise ValueError(f"n_windows must be non-negative, got {n_windows}")
-    if n_windows == 0:
-        return np.zeros((0, len(ALL_EVENTS)))
-
-    def jitter(shape: tuple[int, ...], scale: float = 1.0) -> np.ndarray:
-        return np.exp(rng.normal(0.0, params.noise_sigma * scale, size=shape))
-
-    n = n_windows
-    cycles = frequency_hz * (window_ms / 1000.0) * params.utilization * jitter((n,))
-    instructions = cycles * params.ipc * jitter((n,))
-
-    branches = instructions * params.branch_ratio * jitter((n,))
-    # Misprediction counts are noisy (speculation depth varies window to
-    # window); BPU lookups track retired branches almost deterministically.
-    branch_misses = branches * params.branch_mispred_rate * jitter((n,), 1.8)
-    branch_loads = branches * 1.05 * jitter((n,), 0.25)
-    branch_load_misses = branch_loads * params.bpu_miss_rate * jitter((n,))
-
-    loads = instructions * params.load_ratio * jitter((n,))
-    stores = instructions * params.store_ratio * jitter((n,))
-
-    l1d_load_misses = loads * params.l1d_load_miss_rate * jitter((n,))
-    l1d_store_misses = stores * params.l1d_store_miss_rate * jitter((n,))
-    l1d_prefetches = l1d_load_misses * params.prefetch_intensity * jitter((n,), 3.0)
-    l1d_prefetch_misses = l1d_prefetches * params.prefetch_miss_rate * jitter((n,), 3.0)
-
-    # The front end fetches roughly one L1I access per issued instruction
-    # bundle (4-wide on Nehalem), so fetches scale with instructions.
-    l1i_loads = instructions * 0.27 * jitter((n,))
-    l1i_load_misses = l1i_loads * params.l1i_miss_rate * jitter((n,))
-    l1i_prefetches = l1i_load_misses * 0.5 * jitter((n,), 3.0)
-    l1i_prefetch_misses = l1i_prefetches * params.prefetch_miss_rate * jitter((n,), 3.0)
-
-    # LLC demand traffic is downstream of the L1 misses.
-    llc_loads = (l1d_load_misses + l1i_load_misses) * jitter((n,))
-    llc_load_misses = llc_loads * params.llc_miss_rate * jitter((n,))
-    llc_stores = l1d_store_misses * jitter((n,))
-    llc_store_misses = llc_stores * params.llc_miss_rate * 0.9 * jitter((n,))
-    llc_prefetches = (l1d_prefetch_misses + l1i_prefetch_misses) * jitter((n,), 3.0)
-    llc_prefetch_misses = llc_prefetches * params.prefetch_miss_rate * jitter((n,), 3.0)
-
-    cache_references = llc_loads + llc_stores + llc_prefetches
-    cache_misses = llc_load_misses + llc_store_misses + llc_prefetch_misses
-
-    dtlb_loads = loads * jitter((n,))
-    dtlb_load_misses = dtlb_loads * params.dtlb_load_miss_rate * jitter((n,))
-    dtlb_stores = stores * jitter((n,))
-    dtlb_store_misses = dtlb_stores * params.dtlb_store_miss_rate * jitter((n,))
-    dtlb_prefetches = l1d_prefetches * 0.8 * jitter((n,), 3.0)
-    dtlb_prefetch_misses = dtlb_prefetches * params.dtlb_load_miss_rate * jitter((n,), 3.0)
-
-    itlb_loads = l1i_loads * 0.5 * jitter((n,))
-    itlb_load_misses = itlb_loads * params.itlb_miss_rate * jitter((n,))
-
-    # Memory-node traffic is what escapes the LLC, split by NUMA locality.
-    remote = params.node_remote_ratio
-    memory_loads = llc_load_misses + llc_prefetch_misses
-    node_loads = memory_loads * (1.0 - remote) * jitter((n,))
-    node_load_misses = memory_loads * remote * jitter((n,))
-    node_stores = llc_store_misses * (1.0 - remote) * jitter((n,))
-    node_store_misses = llc_store_misses * remote * jitter((n,))
-    node_prefetches = llc_prefetch_misses * (1.0 - remote) * jitter((n,), 3.0)
-    node_prefetch_misses = llc_prefetch_misses * remote * 0.5 * jitter((n,), 3.0)
-
-    mem_loads = memory_loads * jitter((n,))
-    mem_stores = llc_store_misses * jitter((n,))
-
-    stalled_frontend = cycles * params.frontend_stall_frac * jitter((n,))
-    stalled_backend = cycles * params.backend_stall_frac * jitter((n,))
-    ref_cycles = cycles * jitter((n,))
-    bus_cycles = cycles / 8.0 * jitter((n,))
-
-    columns = {
-        "cpu_cycles": cycles,
-        "instructions": instructions,
-        "ref_cycles": ref_cycles,
-        "bus_cycles": bus_cycles,
-        "stalled_cycles_frontend": stalled_frontend,
-        "stalled_cycles_backend": stalled_backend,
-        "branch_instructions": branches,
-        "branch_misses": branch_misses,
-        "cache_references": cache_references,
-        "cache_misses": cache_misses,
-        "L1_dcache_loads": loads,
-        "L1_dcache_load_misses": l1d_load_misses,
-        "L1_dcache_stores": stores,
-        "L1_dcache_store_misses": l1d_store_misses,
-        "L1_dcache_prefetches": l1d_prefetches,
-        "L1_dcache_prefetch_misses": l1d_prefetch_misses,
-        "L1_icache_loads": l1i_loads,
-        "L1_icache_load_misses": l1i_load_misses,
-        "L1_icache_prefetches": l1i_prefetches,
-        "L1_icache_prefetch_misses": l1i_prefetch_misses,
-        "LLC_loads": llc_loads,
-        "LLC_load_misses": llc_load_misses,
-        "LLC_stores": llc_stores,
-        "LLC_store_misses": llc_store_misses,
-        "LLC_prefetches": llc_prefetches,
-        "LLC_prefetch_misses": llc_prefetch_misses,
-        "dTLB_loads": dtlb_loads,
-        "dTLB_load_misses": dtlb_load_misses,
-        "dTLB_stores": dtlb_stores,
-        "dTLB_store_misses": dtlb_store_misses,
-        "dTLB_prefetches": dtlb_prefetches,
-        "dTLB_prefetch_misses": dtlb_prefetch_misses,
-        "iTLB_loads": itlb_loads,
-        "iTLB_load_misses": itlb_load_misses,
-        "branch_loads": branch_loads,
-        "branch_load_misses": branch_load_misses,
-        "node_loads": node_loads,
-        "node_load_misses": node_load_misses,
-        "node_stores": node_stores,
-        "node_store_misses": node_store_misses,
-        "node_prefetches": node_prefetches,
-        "node_prefetch_misses": node_prefetch_misses,
-        "mem_loads": mem_loads,
-        "mem_stores": mem_stores,
-    }
-    missing = set(ALL_EVENTS) - set(columns)
-    if missing:
-        raise RuntimeError(f"synthesizer does not cover events: {sorted(missing)}")
-    return np.column_stack([columns[name] for name in ALL_EVENTS])
+    _check_positive("window_ms", window_ms)
+    _check_positive("frequency_hz", frequency_hz)
+    return _synthesize(
+        _rate_matrix([params]),
+        np.array([params.noise_sigma], dtype=float),
+        np.zeros(n_windows, dtype=np.intp),
+        rng,
+        window_ms,
+        frequency_hz,
+    )
 
 
 @dataclass(frozen=True)
@@ -310,13 +407,15 @@ class ApplicationBehavior:
     ) -> None:
         if not phases:
             raise ValueError("an application needs at least one phase")
-        if mean_dwell_windows < 1.0:
-            raise ValueError("mean_dwell_windows must be >= 1")
+        if not mean_dwell_windows >= 1.0:
+            raise ValueError(f"mean_dwell_windows must be >= 1, got {mean_dwell_windows}")
         self.name = name
         self.phases = list(phases)
         self.mean_dwell_windows = mean_dwell_windows
         total = sum(p.weight for p in self.phases)
         self._weights = np.array([p.weight / total for p in self.phases])
+        self._rates = _rate_matrix([p.params for p in self.phases])
+        self._sigmas = np.array([p.params.noise_sigma for p in self.phases], dtype=float)
 
     def phase_schedule(self, n_windows: int, rng: np.random.Generator) -> np.ndarray:
         """Draw the per-window phase index sequence for one execution.
@@ -388,20 +487,22 @@ class ApplicationBehavior:
         """Simulate one execution and return all 44 event counts per window.
 
         Each execution perturbs the phase parameters once (run-to-run
-        variation) and then walks the phase schedule, synthesizing every
-        window from the active phase.
+        variation, one draw for all phases), draws the phase schedule,
+        then synthesizes every window from its phase in one pass.
 
         Returns:
             Array of shape ``(n_windows, 44)`` in ``ALL_EVENTS`` order.
+
+        Raises:
+            ValueError: if ``n_windows`` is not positive, ``window_ms`` is
+                not finite and positive, ``run_sigma`` is negative or NaN,
+                or a scheduled phase's ``noise_sigma`` is negative or NaN.
         """
         if n_windows <= 0:
             raise ValueError(f"n_windows must be positive, got {n_windows}")
-        run_params = [mix.params.perturbed(rng, run_sigma) for mix in self.phases]
+        _check_positive("window_ms", window_ms)
+        rates = _perturb(self._rates, rng, run_sigma)
         schedule = self.phase_schedule(n_windows, rng)
-        trace = np.zeros((n_windows, len(ALL_EVENTS)))
-        for phase_idx in np.unique(schedule):
-            mask = schedule == phase_idx
-            trace[mask] = synthesize_windows(
-                run_params[phase_idx], int(mask.sum()), rng, window_ms=window_ms
-            )
-        return trace
+        return _synthesize(
+            rates, self._sigmas, schedule, rng, window_ms, DEFAULT_FREQUENCY_HZ
+        )

@@ -2,13 +2,23 @@
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from repro.ml.validation import app_level_split
 from repro.workloads.benign import BENIGN_FAMILIES
 from repro.workloads.corpus import CorpusBuilder
 from repro.workloads.malware import MALWARE_FAMILIES
+
+# Under CI, property tests draw the same examples on every run and print
+# the reproduction blob of a failing example, so a differential failure in
+# a CI log replays locally with ``@reproduce_failure``.
+settings.register_profile("ci", derandomize=True, print_blob=True)
+if os.environ.get("CI"):
+    settings.load_profile("ci")
 
 
 @pytest.fixture(scope="session")

@@ -171,3 +171,49 @@ def test_synthesize_always_valid(ipc, branch_ratio, n):
     assert trace.shape == (n, 44)
     assert np.all(np.isfinite(trace))
     assert np.all(trace >= 0)
+
+
+# ------------------------------------------- inputs that gave bad traces
+def _one_phase_app(**params):
+    return ApplicationBehavior("one", [PhaseMix(PhaseParameters(**params), 1.0)])
+
+
+@pytest.mark.parametrize("window_ms", [0.0, -10.0, float("nan")])
+def test_synthesize_rejects_bad_window(window_ms):
+    """0 gave all-zero counts, a negative window negative counts, NaN NaN traces."""
+    with pytest.raises(ValueError, match="window_ms"):
+        synthesize_windows(PhaseParameters(), 5, np.random.default_rng(0), window_ms=window_ms)
+
+
+@pytest.mark.parametrize("window_ms", [0.0, -10.0, float("nan")])
+def test_execute_rejects_bad_window(window_ms):
+    with pytest.raises(ValueError, match="window_ms"):
+        _one_phase_app().execute(5, np.random.default_rng(0), window_ms=window_ms)
+
+
+def test_synthesize_rejects_nan_noise_sigma():
+    with pytest.raises(ValueError, match="noise_sigma"):
+        synthesize_windows(PhaseParameters(noise_sigma=float("nan")), 5,
+                           np.random.default_rng(0))
+
+
+def test_execute_rejects_nan_noise_sigma():
+    with pytest.raises(ValueError, match="noise_sigma"):
+        _one_phase_app(noise_sigma=float("nan")).execute(5, np.random.default_rng(0))
+
+
+def test_execute_rejects_nan_run_sigma():
+    with pytest.raises(ValueError, match="sigma"):
+        _one_phase_app().execute(5, np.random.default_rng(0), run_sigma=float("nan"))
+
+
+def test_application_rejects_nan_dwell():
+    """A NaN dwell was accepted and the app never switched phase."""
+    with pytest.raises(ValueError, match="mean_dwell_windows"):
+        ApplicationBehavior("x", [PhaseMix(PhaseParameters(), 1.0)],
+                            mean_dwell_windows=float("nan"))
+
+
+def test_application_rejects_nan_rate():
+    with pytest.raises(ValueError, match="NaN"):
+        _one_phase_app(ipc=float("nan"))

@@ -11,6 +11,8 @@ chaos-tested against the same serial verdicts.
 
 from __future__ import annotations
 
+import time
+
 import numpy as np
 import pytest
 
@@ -78,6 +80,10 @@ class LedgerProbe(DetectionService):
         assert state.records[closed.execution].trace is None
 
     def _recover(self, state, shard, assembly):
+        # The producer runs concurrently; let it finish its ledger writes
+        # so this snapshot and the recovery below read the same ledger.
+        while not all(record.closed for record in state.records):
+            time.sleep(0.001)
         self.at_recovery = [
             (record.index, record.trace is not None, record.index in state.verdicts)
             for record in state.records
