@@ -27,7 +27,7 @@ scheduling, and with a seeded :class:`~repro.hpc.faults.FaultPlan` the
 whole degraded run replays exactly.
 
 Per-application classification goes through
-:func:`~repro.core.runtime.classify_trace`, i.e. each execution's
+:func:`~repro.core.runtime.grade_trace`, i.e. each execution's
 windows (and each retry's salvaged windows) hit the detector as one
 batch through the vectorized inference kernels — the fleet's
 windows/second ceiling is the per-detector rate pinned by
@@ -48,8 +48,8 @@ import numpy as np
 from repro.core.detector import HMDDetector
 from repro.core.runtime import (
     DetectionVerdict,
-    classify_trace,
     detection_latency_windows,
+    grade_trace,
     observe_execution_quality,
     validate_deployment,
 )
@@ -83,17 +83,17 @@ class RetryPolicy:
 
     Args:
         max_attempts: total tries per application (1 = no retries).
-        base_backoff_s: sleep before the first retry.
-        backoff_multiplier: exponential growth factor per retry.
-        max_backoff_s: backoff ceiling (applied before jitter).
+        base_backoff_s: sleep before the first retry (finite).
+        backoff_multiplier: exponential growth factor per retry (finite).
+        max_backoff_s: backoff ceiling, applied before jitter (finite).
         jitter: symmetric jitter fraction; the actual sleep is the
             exponential backoff scaled by a deterministic factor in
             ``[1 - jitter, 1 + jitter]`` drawn from the fault plan's
             seeded jitter stream (thundering-herd protection that still
             replays exactly).
         timeout_s: per-application wall-clock budget; when exceeded the
-            fleet stops retrying and degrades immediately (None = no
-            timeout).
+            fleet stops retrying and degrades immediately (None or
+            infinity = no timeout; NaN is rejected).
     """
 
     max_attempts: int = 3
@@ -104,16 +104,20 @@ class RetryPolicy:
     timeout_s: float | None = None
 
     def __post_init__(self) -> None:
-        if self.max_attempts < 1:
+        # Comparisons are written so that NaN fails them.
+        if not self.max_attempts >= 1:
             raise ValueError(f"max_attempts must be >= 1, got {self.max_attempts}")
+        for name in ("base_backoff_s", "backoff_multiplier", "max_backoff_s"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.base_backoff_s < 0 or self.max_backoff_s < 0:
             raise ValueError("backoff times cannot be negative")
         if self.backoff_multiplier < 1.0:
             raise ValueError("backoff_multiplier must be >= 1")
         if not 0.0 <= self.jitter < 1.0:
             raise ValueError(f"jitter must be in [0, 1), got {self.jitter}")
-        if self.timeout_s is not None and self.timeout_s < 0:
-            raise ValueError("timeout_s cannot be negative")
+        if self.timeout_s is not None and not self.timeout_s >= 0:
+            raise ValueError(f"timeout_s must be >= 0, got {self.timeout_s}")
 
     def backoff_s(self, retry_index: int, rng: np.random.Generator) -> float:
         """Sleep before the ``retry_index``-th retry (0-based).
@@ -132,10 +136,11 @@ class RetryPolicy:
         else:
             # Smallest exponent at which the exponential reaches the cap;
             # at or past it the answer is exactly max_backoff_s and the
-            # power must not be evaluated.
-            cap_exponent = math.log(self.max_backoff_s / self.base_backoff_s) / (
-                math.log(self.backoff_multiplier)
-            )
+            # power must not be evaluated.  A difference of logs, since
+            # the ratio overflows for a subnormal base.
+            cap_exponent = (
+                math.log(self.max_backoff_s) - math.log(self.base_backoff_s)
+            ) / math.log(self.backoff_multiplier)
             if retry_index >= cap_exponent:
                 raw = self.max_backoff_s
             else:
@@ -194,9 +199,8 @@ class FleetMonitor:
             output stays bit-identical with health enabled.
         quality: optional :class:`~repro.obs.QualityTracker` fed every
             execution's reduced feature windows and graded scores for
-            drift scoring (pristine re-reduction, so counter glitches
-            never masquerade as drift); observes only, verdicts stay
-            bit-identical, and None costs one attribute check.
+            drift scoring; observes only, verdicts stay bit-identical,
+            and None costs one attribute check.
         sleep: injection point for backoff sleeping (tests pass a
             recorder; production uses :func:`time.sleep`).
     """
@@ -316,7 +320,7 @@ class FleetMonitor:
             )
         try:
             start = time.perf_counter()
-            flags = classify_trace(
+            flags, readings, scores = grade_trace(
                 self.detector, self.n_counters, trace, register_file=register_file
             )
             elapsed = time.perf_counter() - start
@@ -337,6 +341,7 @@ class FleetMonitor:
             observe_execution_quality(
                 self.quality, self.detector, self.n_counters, trace,
                 verdict, self.vote_threshold, job.is_malware, job.app.name,
+                readings=readings, scores=scores,
             )
         return verdict
 
@@ -347,7 +352,9 @@ class FleetMonitor:
         degradation path must itself be fault-free, or the verdict
         stream would stop being total.
         """
-        flags = classify_trace(self.detector, self.n_counters, salvage_trace)
+        flags, readings, scores = grade_trace(
+            self.detector, self.n_counters, salvage_trace
+        )
         n_lost = job.n_windows - int(salvage_trace.shape[0])
         self._inc(self._c_dropped, n_lost)
         verdict = DetectionVerdict.from_flags(
@@ -361,6 +368,7 @@ class FleetMonitor:
             observe_execution_quality(
                 self.quality, self.detector, self.n_counters, salvage_trace,
                 verdict, self.vote_threshold, job.is_malware, job.app.name,
+                readings=readings, scores=scores,
             )
         return verdict
 
@@ -417,22 +425,23 @@ class FleetMonitor:
                 self._c_alarms.inc()
             if verdict.degraded:
                 self._c_degraded.inc()
-        self.tracer.event(
-            "fleet.verdict",
-            app=job.app.name,
-            host=job.app.name,
-            index=index,
-            is_malware=verdict.is_malware,
-            malware_fraction=verdict.malware_fraction,
-            confidence=verdict.confidence,
-            n_windows=verdict.n_windows,
-            n_windows_lost=verdict.n_windows_lost,
-            degraded=verdict.degraded,
-            attempts=attempts,
-            detection_latency_windows=detection_latency_windows(
-                verdict.window_flags, self.vote_threshold
-            ),
-        )
+        if self.tracer.enabled:
+            self.tracer.event(
+                "fleet.verdict",
+                app=job.app.name,
+                host=job.app.name,
+                index=index,
+                is_malware=verdict.is_malware,
+                malware_fraction=verdict.malware_fraction,
+                confidence=verdict.confidence,
+                n_windows=verdict.n_windows,
+                n_windows_lost=verdict.n_windows_lost,
+                degraded=verdict.degraded,
+                attempts=attempts,
+                detection_latency_windows=detection_latency_windows(
+                    verdict.window_flags, self.vote_threshold
+                ),
+            )
         if self.health is not None:
             self.health.observe_verdict(
                 job.app.name,

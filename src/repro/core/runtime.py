@@ -91,36 +91,46 @@ def reduce_trace(
     return sample_trace(register_file, trace, ALL_EVENTS)
 
 
-def classify_trace(
+def grade_trace(
     detector: HMDDetector,
     n_counters: int,
     trace: np.ndarray,
     register_file: CounterRegisterFile | None = None,
-) -> np.ndarray:
-    """Sample a raw 44-event trace through a register file and classify it.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Sample a raw 44-event trace once and grade it once.
 
     Args:
         detector: fitted detector whose events are programmed.
         n_counters: register-file capacity when ``register_file`` is None.
         trace: array ``(n_windows, 44)`` of raw event activity.
         register_file: optional pre-built register file (e.g. a
-            :class:`~repro.hpc.faults.GlitchyCounterRegisterFile`); a
-            pristine one is built when omitted.
+            :class:`~repro.hpc.faults.GlitchyCounterRegisterFile`, whose
+            glitch raises, so a completed reduction equals a pristine
+            one); a pristine one is built when omitted.
 
     Returns:
-        Per-window 0/1 flags.  An empty trace classifies to an empty
-        flag array without touching the registers.
-
-    The whole trace goes through the classifier as one batch, so this
-    hot path runs at the vectorized inference-kernel rates pinned by
-    ``benchmarks/bench_inference.py`` (flat-array tree descent, compiled
-    rule lists, stacked ensemble members) — never a per-window Python
-    loop.
+        ``(flags, readings, scores)``: per-window 0/1 flags, the counter
+        readings they were graded from, and the malware-class scores —
+        one batch through :meth:`~repro.core.detector.HMDDetector.
+        grade_windows`, never a per-window loop.  An empty trace grades
+        to empty arrays without touching the registers.
     """
     if trace.shape[0] == 0:
-        return np.zeros(0, dtype=np.intp)
+        readings = np.zeros((0, detector.config.n_hpcs))
+        return np.zeros(0, dtype=np.intp), readings, np.zeros(0)
     readings = reduce_trace(detector, n_counters, trace, register_file)
-    return detector.predict_windows(readings)
+    flags, scores = detector.grade_windows(readings)
+    return flags, readings, scores
+
+
+def classify_trace(
+    detector: HMDDetector,
+    n_counters: int,
+    trace: np.ndarray,
+    register_file: CounterRegisterFile | None = None,
+) -> np.ndarray:
+    """The per-window 0/1 flags of :func:`grade_trace`."""
+    return grade_trace(detector, n_counters, trace, register_file)[0]
 
 
 def observe_execution_quality(
@@ -142,14 +152,11 @@ def observe_execution_quality(
     so all three score drift identically: the execution's reduced
     windows are scored with the detector's graded outputs and handed to
     the tracker along with the verdict's vote margin and the ground
-    truth that calibrates the score bins.  Callers whose verdict path
-    already reduced the trace through a *pristine* register file (the
-    monitor, the serving workers) pass ``readings`` — and ``scores``
-    when they graded via :meth:`~repro.core.detector.HMDDetector.
-    grade_windows` — so nothing is computed twice; the fleet omits them
-    because its readings may have gone through a glitchy register file,
-    and glitched readings would make fault injection look like model
-    drift.  The tracker only observes — the verdict is already final.
+    truth that calibrates the score bins.  The drivers pass the
+    ``readings`` and ``scores`` their verdict came from
+    (:func:`grade_trace`), so nothing is computed twice; a caller that
+    passes neither gets them from a pristine re-reduction of ``trace``.
+    The tracker only observes — the verdict is already final.
     """
     if readings is None:
         readings = reduce_trace(detector, n_counters, trace)
@@ -376,15 +383,9 @@ class RuntimeMonitor:
                 )
             with self.tracer.span("monitor.classify", app=app.name):
                 start = time.perf_counter()
-                readings = scores = None
-                if self.quality is None or trace.shape[0] == 0:
-                    flags = classify_trace(self.detector, self.n_counters, trace)
-                else:
-                    # One reduce + one probability pass serves both the
-                    # verdict and the drift scorer; flags stay
-                    # bit-identical to the quality=None classify path.
-                    readings = reduce_trace(self.detector, self.n_counters, trace)
-                    flags, scores = self.detector.grade_windows(readings)
+                flags, readings, scores = grade_trace(
+                    self.detector, self.n_counters, trace
+                )
                 elapsed = time.perf_counter() - start
             verdict = DetectionVerdict.from_flags(
                 app.name, flags, self.vote_threshold

@@ -14,7 +14,7 @@ over the bounded queue fabric in :mod:`repro.serve.bus`:
 * **sharded detector workers** each own the hosts that hash to their
   channel: they reassemble executions chunk by chunk, classify a
   closed window batch through the vectorized inference kernels
-  (:func:`~repro.core.runtime.classify_trace`), emit exactly one
+  (:func:`~repro.core.runtime.grade_trace`), emit exactly one
   :class:`~repro.core.runtime.DetectionVerdict` per closed execution,
   and maintain a per-host sliding vote window across executions that
   raises ``serve.alert`` events when a host's recent windows trip the
@@ -71,10 +71,9 @@ import numpy as np
 from repro.core.detector import HMDDetector
 from repro.core.runtime import (
     DetectionVerdict,
-    classify_trace,
     detection_latency_windows,
+    grade_trace,
     observe_execution_quality,
-    reduce_trace,
     validate_deployment,
 )
 from repro.hpc.events import ALL_EVENTS
@@ -352,8 +351,8 @@ class DetectionService:
 
     def _emit_verdict(
         self, state: _RunState, closed: WindowClosed, verdict: DetectionVerdict,
-        elapsed: float, trace: np.ndarray | None = None,
-        readings: np.ndarray | None = None, scores: np.ndarray | None = None,
+        elapsed: float, trace: np.ndarray, readings: np.ndarray,
+        scores: np.ndarray,
     ) -> None:
         """Publish one verdict exactly once, no matter who computed it."""
         with state.verdict_lock:
@@ -370,8 +369,10 @@ class DetectionService:
                 self._c_alarms.inc()
             if n:
                 self._h_classify.observe_many(elapsed / n, n)
-        latency = detection_latency_windows(
-            verdict.window_flags, self.vote_threshold
+        latency = (
+            detection_latency_windows(verdict.window_flags, self.vote_threshold)
+            if self.tracer.enabled or self.archive_sink is not None
+            else None
         )
         # One wall-clock read shared by the trace event and the archive
         # sink: both records must carry the identical timestamp so a
@@ -413,7 +414,7 @@ class DetectionService:
                 n_windows=n,
                 n_windows_lost=verdict.n_windows_lost,
             )
-        if self.quality is not None and trace is not None:
+        if self.quality is not None:
             # Inside the exactly-once guard above, so a ledger-recovery
             # duplicate can never double-count drift evidence; shares
             # the verdict's timestamp so replays score identically.
@@ -484,25 +485,12 @@ class DetectionService:
             assembly.pop(closed.execution, None)
             return
         start = time.perf_counter()
-        readings = scores = None
-        if self.quality is None or trace.shape[0] == 0:
-            flags = classify_trace(self.detector, self.n_counters, trace)
-        else:
-            # One reduce + one probability pass serves both the verdict
-            # and the drift scorer; flags stay bit-identical to the
-            # quality=None classify path (the ledger trace is pristine,
-            # so sharing the readings is sound here — unlike the fleet's
-            # possibly-glitched register file).
-            readings = reduce_trace(self.detector, self.n_counters, trace)
-            flags, scores = self.detector.grade_windows(readings)
+        flags, readings, scores = grade_trace(self.detector, self.n_counters, trace)
         elapsed = time.perf_counter() - start
         verdict = DetectionVerdict.from_flags(
             closed.app_name, flags, self.vote_threshold
         )
-        self._emit_verdict(
-            state, closed, verdict, elapsed, trace,
-            readings=readings, scores=scores,
-        )
+        self._emit_verdict(state, closed, verdict, elapsed, trace, readings, scores)
         assembly.pop(closed.execution, None)
 
     def _recover(

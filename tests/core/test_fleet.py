@@ -439,3 +439,45 @@ def test_fleet_quality_tracking_keeps_verdicts_identical(
     assert tracked == baseline
     assert tracker.total_executions == len(jobs)
     assert tracker.total_windows == sum(job.n_windows for job in jobs)
+
+
+# -- retry policy: NaN and infinity ------------------------------------
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("max_attempts", float("nan")),
+        ("base_backoff_s", float("nan")),
+        ("base_backoff_s", float("inf")),
+        ("backoff_multiplier", float("nan")),
+        ("backoff_multiplier", float("inf")),
+        ("max_backoff_s", float("nan")),
+        ("max_backoff_s", float("inf")),
+        ("jitter", float("nan")),
+        ("timeout_s", float("nan")),
+    ],
+)
+def test_retry_policy_rejects_nan_and_non_finite_backoff(field, value):
+    """A NaN or infinite backoff reached time.sleep or math.log inside a
+    worker (the fleet then raised instead of degrading), a NaN ceiling
+    or timeout silently meant "none", and an infinite ceiling overflowed
+    multiplier ** index after ~1,100 retries."""
+    with pytest.raises(ValueError, match=field):
+        RetryPolicy(**{field: value})
+
+
+def test_retry_policy_infinite_timeout_means_none():
+    assert RetryPolicy(timeout_s=float("inf")).timeout_s == float("inf")
+
+
+def test_retry_policy_backoff_finite_with_subnormal_base():
+    """max_backoff_s / base_backoff_s overflows to inf for a subnormal
+    base, which put the cap out of reach and overflowed
+    multiplier ** index from retry index 1,074 on."""
+    policy = RetryPolicy(base_backoff_s=5e-324, jitter=0.0)
+    for index in (10, 1_074, 2_000, 2**20):
+        value = policy.backoff_s(index, np.random.default_rng(0))
+        assert np.isfinite(value)
+        assert value <= policy.max_backoff_s
+    assert policy.backoff_s(2_000, np.random.default_rng(0)) == policy.max_backoff_s
