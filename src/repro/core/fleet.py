@@ -301,6 +301,7 @@ class FleetMonitor:
                     job.is_malware,
                     window_ms=self.window_ms,
                     attempt=attempt,
+                    draw=draw,
                 )
             else:
                 trace = pool.run(

@@ -28,7 +28,8 @@ a drop-in wrapper around :class:`~repro.hpc.lxc.ContainerPool`; glitches
 and drops apply at sampling time and are consumed by
 :class:`~repro.core.fleet.FleetMonitor` via :meth:`FaultPlan.draw`.
 Because draws are pure functions of the key, the pool and the monitor
-can each draw independently and see the same faults.
+see the same faults; the monitor draws once per attempt and hands the
+draw to the pool.
 """
 
 from __future__ import annotations
@@ -296,9 +297,16 @@ class FaultyContainerPool:
         is_malware: bool,
         window_ms: float = DEFAULT_WINDOW_MS,
         attempt: int = 0,
+        draw: FaultDraw | None = None,
     ) -> np.ndarray:
-        """Execute one application, injecting this attempt's faults."""
-        draw = self.plan.draw(app.name, attempt, n_windows)
+        """Execute one application, injecting this attempt's faults.
+
+        ``draw`` is this attempt's :meth:`FaultPlan.draw` when the caller
+        already holds it (the monitor applies its glitches and drops);
+        None draws it here.
+        """
+        if draw is None:
+            draw = self.plan.draw(app.name, attempt, n_windows)
         if draw.permanent:
             raise PermanentHostError(
                 f"host for {app.name!r} has failed permanently"

@@ -21,15 +21,10 @@ from repro.ml.base import (
     check_features,
     check_training_set,
     pack_members,
-    proba_from_counts,
     unfitted_spec,
     unpack_members,
 )
-from repro.ml.ensemble.forest import (
-    adopt_packed_forest,
-    ensemble_forest,
-    forget_forest,
-)
+from repro.ml.ensemble.forest import adopt_packed_forest, leaf_tables
 
 
 class Bagging(Classifier):
@@ -109,7 +104,6 @@ class Bagging(Classifier):
         if voted.any():
             oob_pred = np.argmax(oob_votes[voted], axis=1)
             self.oob_accuracy_ = float(np.mean(oob_pred == labels[voted]))
-        forget_forest(self)
         self.fitted_ = True
         return self
 
@@ -117,12 +111,13 @@ class Bagging(Classifier):
         self._require_fitted()
         features = check_features(features)
         # stack the members' batch probabilities (tree members of a
-        # small batch in one forest pass) and average along the member
-        # axis (outer-axis reduction is sequential in member order,
-        # bit-identical to the old accumulation loop)
-        forest = ensemble_forest(self, features.shape[0])
-        if forest is not None:
-            stacked = proba_from_counts(forest.leaf_counts(features))
+        # small batch in one forest pass, each leaf looked up as its
+        # probability row) and average along the member axis (outer-axis
+        # reduction is sequential in member order, bit-identical to the
+        # old accumulation loop)
+        tables = leaf_tables(self, features.shape[0])
+        if tables is not None:
+            stacked = tables.proba[tables.forest.leaves(features)]
         else:
             stacked = np.stack([m.predict_proba(features) for m in self.estimators_])
         return stacked.sum(axis=0) / len(self.estimators_)

@@ -481,3 +481,32 @@ def test_retry_policy_backoff_finite_with_subnormal_base():
         assert np.isfinite(value)
         assert value <= policy.max_backoff_s
     assert policy.backoff_s(2_000, np.random.default_rng(0)) == policy.max_backoff_s
+
+
+@pytest.mark.parametrize("workers", [1, 3])
+def test_fleet_draws_each_attempts_faults_once(detector4, jobs, monkeypatch, workers):
+    """The monitor hands its draw to the pool instead of both drawing."""
+    draws = []
+    real_draw = FaultPlan.draw
+
+    def spy(plan, app_name, attempt, n_windows):
+        draws.append((app_name, attempt))
+        return real_draw(plan, app_name, attempt, n_windows)
+
+    monkeypatch.setattr(FaultPlan, "draw", spy)
+    metrics = Registry()
+    fleet = FleetMonitor(
+        detector4,
+        workers=workers,
+        pool_seed=POOL_SEED,
+        faults=FaultPlan(
+            seed=3, crash_rate=0.4, glitch_rate=0.3, drop_rate=0.1, permanent_rate=0.1
+        ),
+        retry=RetryPolicy(max_attempts=3, base_backoff_s=0.0),
+        metrics=metrics,
+        sleep=no_sleep,
+    )
+    fleet.monitor_fleet(jobs)
+    retries = metrics.snapshot()["counters"]["fleet_retries_total"]["value"]
+    assert retries > 0
+    assert len(draws) == len(set(draws)) == len(jobs) + retries
